@@ -208,24 +208,6 @@ impl SizeClassTable {
     }
 }
 
-/// Which allocation frontend serves size-class requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontendKind {
-    /// The legacy per-tasklet thread caches: a `Vec` of blocks per
-    /// (tasklet, class) pool, scanned block-by-block and word-by-word
-    /// on every malloc/free. Default — every figure committed before
-    /// the page path landed reproduces byte-identically on it.
-    #[default]
-    BitmapClasses,
-    /// The mimalloc-style page/queue fast path
-    /// ([`crate::page_queue::PageLocal`]): sharded per-(tasklet,
-    /// class) page queues with intrusive free lists and O(1)
-    /// frame-table free routing. Same addresses, errors, and frag
-    /// accounting as [`FrontendKind::BitmapClasses`] (differentially
-    /// property-tested), with constant-cost hot paths.
-    PageLocal,
-}
-
 /// Which free-path hierarchy the allocator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TierPolicy {
@@ -279,7 +261,6 @@ pub struct PimMallocConfig {
     pub(crate) descent: DescentPolicy,
     pub(crate) quarantine_after: Option<u32>,
     pub(crate) tier: TierConfig,
-    pub(crate) frontend: FrontendKind,
 }
 
 impl PimMallocConfig {
@@ -327,11 +308,6 @@ impl PimMallocConfig {
     pub fn tier(&self) -> TierConfig {
         self.tier
     }
-
-    /// The allocation frontend serving size-class requests.
-    pub fn frontend(&self) -> FrontendKind {
-        self.frontend
-    }
 }
 
 /// Fluent builder for [`PimMallocConfig`], mirroring
@@ -360,7 +336,6 @@ impl AllocGeometry {
                 descent: DescentPolicy::FullMarks,
                 quarantine_after: None,
                 tier: TierConfig::default(),
-                frontend: FrontendKind::default(),
             },
         }
     }
@@ -449,27 +424,6 @@ impl AllocGeometry {
     /// pre-middle-tier free path, kept for differential testing.
     pub fn two_tier(self) -> Self {
         self.with_tiering(TierPolicy::TwoTier)
-    }
-
-    /// Selects the allocation frontend (default
-    /// [`FrontendKind::BitmapClasses`]).
-    pub fn with_frontend(mut self, frontend: FrontendKind) -> Self {
-        self.cfg.frontend = frontend;
-        self
-    }
-
-    /// Routes size-class requests through the mimalloc-style
-    /// page/queue fast path — shorthand for
-    /// `with_frontend(FrontendKind::PageLocal)`.
-    pub fn page_local(self) -> Self {
-        self.with_frontend(FrontendKind::PageLocal)
-    }
-
-    /// Routes size-class requests through the legacy bitmap-scan
-    /// thread caches (the default) — shorthand for
-    /// `with_frontend(FrontendKind::BitmapClasses)`.
-    pub fn bitmap_classes(self) -> Self {
-        self.with_frontend(FrontendKind::BitmapClasses)
     }
 
     /// Validates and returns the finished configuration.
@@ -616,26 +570,6 @@ mod tests {
     fn two_tier_is_config_reachable() {
         let cfg = AllocGeometry::sw(2).two_tier().build();
         assert_eq!(cfg.tier().policy, TierPolicy::TwoTier);
-    }
-
-    #[test]
-    fn frontend_defaults_to_bitmap_and_toggles_both_ways() {
-        assert_eq!(
-            AllocGeometry::sw(2).build().frontend(),
-            FrontendKind::BitmapClasses
-        );
-        assert_eq!(
-            AllocGeometry::sw(2).page_local().build().frontend(),
-            FrontendKind::PageLocal
-        );
-        assert_eq!(
-            AllocGeometry::sw(2)
-                .page_local()
-                .bitmap_classes()
-                .build()
-                .frontend(),
-            FrontendKind::BitmapClasses
-        );
     }
 
     #[test]

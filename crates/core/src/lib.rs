@@ -27,18 +27,12 @@
 //! the owner's cache under the global backend lock — stays reachable
 //! via [`AllocGeometry::two_tier`].
 //!
-//! ## Frontends
+//! ## Frontend
 //!
-//! Size-class requests are served by one of two frontends (see
-//! [`FrontendKind`]): the legacy bitmap-scan thread caches (default),
-//! or the mimalloc-style [`PageLocal`] page/queue fast path
-//! ([`AllocGeometry::page_local`]) — sharded per-(tasklet, class)
-//! queues of fixed-size pages with intrusive free lists and O(1)
-//! frame-table free routing. Both produce byte-identical addresses,
-//! errors, and fragmentation accounting (differentially
-//! property-tested in `tests/page_differential.rs`); only the
-//! simulated cycle pricing differs, with the page path's hot paths at
-//! constant cost.
+//! Size-class requests are served by the paper's per-tasklet
+//! [`ThreadCache`]s (§IV-A): each size-class pool tracks its 4 KB
+//! blocks with a WRAM bitmap (Fig. 9(b)), so a hit is lock-free and
+//! touches only the calling tasklet's metadata.
 //!
 //! ## Error paths and quarantine
 //!
@@ -82,8 +76,6 @@ pub mod error;
 pub mod frag;
 pub mod geometry;
 pub mod metadata;
-pub mod page;
-pub mod page_queue;
 pub mod pim_malloc;
 pub mod region_map;
 pub mod span;
@@ -98,12 +90,10 @@ pub use central_free_list::CentralFreeList;
 pub use error::{AllocError, InitError};
 pub use frag::FragTracker;
 pub use geometry::{
-    AllocGeometry, FrontendKind, GeometryError, PimMallocConfig, SizeClassTable, TierConfig,
-    TierPolicy, SIZE_CLASS_ALIGN,
+    AllocGeometry, GeometryError, PimMallocConfig, SizeClassTable, TierConfig, TierPolicy,
+    SIZE_CLASS_ALIGN,
 };
 pub use metadata::{MetaStats, MetadataStore, NodeState};
-pub use page::Page;
-pub use page_queue::{PageLocal, PageQueue};
 pub use pim_malloc::{BackendKind, PimMalloc};
 pub use region_map::{FreeRoute, RegionMap};
 pub use span::{Span, SpanRegistry};

@@ -92,8 +92,8 @@ impl AllocStats {
     /// Fraction of *class-eligible* `pim_malloc` calls served without
     /// a backend refill: hits (plain, transfer-staged, or
     /// central-resident) over hits plus refills. Bypass requests are
-    /// excluded — they never had a page/cache to hit. This is the
-    /// `page_hit_rate` the bench report gates on: a healthy frontend
+    /// excluded — they never had a thread cache to hit. This is the
+    /// `class_hit_rate` the bench report gates on: a healthy frontend
     /// absorbs ≥ 90% of class-eligible traffic.
     pub fn class_hit_rate(&self) -> f64 {
         let hits = self.frontend_hits + self.transfer_hits + self.central_hits;

@@ -12,7 +12,6 @@ use pim_sim::TaskletCtx;
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::SizeClassTable;
-use crate::page::init_free_mask;
 
 /// The paper's default size classes: powers of two from 16 B to 2 KB.
 pub const DEFAULT_SIZE_CLASSES: [u32; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
@@ -31,6 +30,33 @@ const WORD_SCAN_INSTRS: u64 = 8;
 /// Instructions to flip a bitmap bit and compute the sub-block address.
 const BIT_OP_INSTRS: u64 = 30;
 
+/// Marks the first `slots` positions free (bit = 1) and every padding
+/// bit beyond them busy (bit = 0).
+///
+/// The obvious inline version computes the last word as
+/// `(1u64 << tail) - 1`, which is only safe when `tail` is already
+/// reduced mod 64. Derive the tail as "slots remaining in the last
+/// word" (a count in `1..=64`, the other natural formulation) and
+/// `1u64 << 64` overflows: a debug panic or, in release, a wrapped
+/// shift that marks an exactly-full tail word (64-, 128-, 192-slot
+/// classes…) entirely *busy*. This version computes each word's
+/// population without any shift that can reach 64.
+fn init_free_mask(slots: u32, words: &mut [u64]) {
+    debug_assert!(
+        slots as usize <= words.len() * 64,
+        "{slots} slots exceed {} bitmap words",
+        words.len()
+    );
+    for (wi, word) in words.iter_mut().enumerate() {
+        let below = wi as u32 * 64;
+        *word = match slots.saturating_sub(below).min(64) {
+            0 => 0,
+            64 => u64::MAX,
+            in_word => (1u64 << in_word) - 1,
+        };
+    }
+}
+
 /// One 4 KB block subdivided into `class_bytes` sub-blocks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CacheBlock {
@@ -46,10 +72,9 @@ impl CacheBlock {
         let slots = CACHE_BLOCK_BYTES / class_bytes;
         let words = (slots as usize).div_ceil(64);
         let mut bitmap = vec![0u64; words];
-        // Mark the first `slots` bits free and any padding busy. The
-        // shared helper is overflow-proof for slot counts that land
-        // exactly on a word boundary (see its doc comment — the old
-        // inline `(1u64 << tail) - 1` was one refactor away from UB).
+        // Mark the first `slots` bits free and any padding busy,
+        // overflow-proof for slot counts that land exactly on a word
+        // boundary (see `init_free_mask`).
         init_free_mask(slots, &mut bitmap);
         CacheBlock {
             base,
@@ -394,6 +419,50 @@ mod tests {
                 );
             }
             assert_eq!(c.alloc(&mut ctx, class_idx), None);
+        }
+    }
+
+    /// Regression for the tail-word initialization: slot counts that
+    /// are an exact multiple of 64 must leave the last word fully
+    /// free, not wrapped to all-busy. 64 slots = the 64 B class,
+    /// 128 = the 32 B class, 192 = a three-word block (reachable with
+    /// non-power-of-two class geometry).
+    #[test]
+    fn exact_word_multiples_keep_every_slot_free() {
+        for slots in [64u32, 128, 192] {
+            let words = (slots as usize).div_ceil(64);
+            let mut bitmap = vec![0u64; words];
+            init_free_mask(slots, &mut bitmap);
+            assert!(
+                bitmap.iter().all(|&w| w == u64::MAX),
+                "{slots} slots: every word must be all-free, got {bitmap:#x?}"
+            );
+            assert_eq!(
+                bitmap.iter().map(|w| w.count_ones()).sum::<u32>(),
+                slots,
+                "{slots} slots"
+            );
+        }
+    }
+
+    /// A class whose slot count is not a multiple of 64 must leave its
+    /// padding bits busy, so the alloc scan can never hand them out.
+    #[test]
+    fn partial_tail_words_mask_padding_bits() {
+        for slots in [1u32, 2, 63, 65, 100, 130, 250] {
+            let words = (slots as usize).div_ceil(64);
+            let mut bitmap = vec![u64::MAX; words]; // stale garbage
+            init_free_mask(slots, &mut bitmap);
+            assert_eq!(
+                bitmap.iter().map(|w| w.count_ones()).sum::<u32>(),
+                slots,
+                "{slots} slots"
+            );
+            // Free bits are exactly the lowest `slots` positions.
+            for s in 0..(words * 64) as u32 {
+                let set = bitmap[(s / 64) as usize] & (1u64 << (s % 64)) != 0;
+                assert_eq!(set, s < slots, "slot {s} of {slots}");
+            }
         }
     }
 

@@ -227,54 +227,6 @@ fn trace_fleet_at_512_dpus_is_engine_invariant() {
 }
 
 #[test]
-fn page_frontend_fleet_at_512_dpus_is_engine_invariant() {
-    // The same fleet replay with the PageLocal frontend: the page
-    // path's intrusive-list surgery and frame-table routing must be as
-    // engine-invariant as the legacy bitmap frontend — and land on the
-    // *same addresses*, so the two fleets' timelines differ only in
-    // cycle pricing.
-    use pim_trace::{replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape};
-    let trace = synthesize(&SynthConfig {
-        n_tasklets: 4,
-        mallocs_per_tasklet: 24,
-        size_law: SizeLaw::Uniform { min: 16, max: 1024 },
-        shape: TemporalShape::Steady { compute: 300 },
-        heap_size: 1 << 20,
-        seed: 7,
-        ..SynthConfig::default()
-    });
-    let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
-        let cfg = pim_malloc::AllocGeometry::sw(4)
-            .with_heap_size(1 << 20)
-            .page_local()
-            .build();
-        Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
-    };
-    let fleet = |exec: ExecPolicy| {
-        replay_fleet(
-            &trace,
-            &FleetConfig {
-                n_dpus: 512,
-                ctx: pim_sim::SimContext::default().with_exec(exec),
-            },
-            build,
-        )
-    };
-    let reference = fleet(ExecPolicy::Serial);
-    for policy in PARALLEL_POLICIES {
-        let got = fleet(policy);
-        assert_eq!(got.per_dpu.len(), 512);
-        for (g, r) in got.per_dpu.iter().zip(&reference.per_dpu) {
-            assert_eq!(g.timeline, r.timeline, "{policy:?}");
-            assert_eq!(g.oom_count, r.oom_count, "{policy:?}");
-        }
-        assert_eq!(got.kernel_finish, reference.kernel_finish, "{policy:?}");
-        assert_eq!(got.mean_latency(), reference.mean_latency(), "{policy:?}");
-        assert_eq!(got.distribution, reference.distribution, "{policy:?}");
-    }
-}
-
-#[test]
 fn pipeline_sharing_slows_dense_multithreading() {
     // The same instruction stream takes longer per tasklet at 24
     // tasklets than at 11 (issue-slot sharing), but aggregate
