@@ -24,56 +24,70 @@ use std::process::ExitCode;
 use parking_lot::Mutex;
 use pim_bench::figures;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let value_flag = |flag: &str, operand: &str| -> Result<Option<String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-                _ => Err(format!("{flag} requires a {operand} operand")),
-            },
-        }
-    };
-    type Flags = (Option<String>, Option<String>, Option<u64>);
-    let parsed = (|| -> Result<Flags, String> {
-        let csv = value_flag("--csv", "DIR")?;
-        let json = value_flag("--json", "DIR")?;
-        let seed = match value_flag("--seed", "N")? {
-            None => None,
-            Some(s) => Some(
-                s.parse::<u64>()
-                    .map_err(|_| format!("--seed needs a u64, got `{s}`"))?,
-            ),
+/// Parsed command line: the one experiment id (or `all`/`list`;
+/// `None` means `all`) and the flags.
+#[derive(Default)]
+struct Args {
+    target: Option<String>,
+    quick: bool,
+    seed: Option<u64>,
+    csv_dir: Option<String>,
+    json_dir: Option<String>,
+}
+
+/// Rejects unknown `--flag`s and a second positional id, so a typo
+/// never silently runs the wrong sweep.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut operand = |name: &str| match args.next() {
+            Some(v) if !v.starts_with("--") => Ok(v),
+            _ => Err(format!("{arg} requires a {name} operand")),
         };
-        Ok((csv, json, seed))
-    })();
-    let (csv_dir, json_dir, seed) = match parsed {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--csv" => parsed.csv_dir = Some(operand("DIR")?),
+            "--json" => parsed.json_dir = Some(operand("DIR")?),
+            "--seed" => {
+                let s = operand("N")?;
+                parsed.seed = Some(
+                    s.parse::<u64>()
+                        .map_err(|_| format!("--seed needs a u64, got `{s}`"))?,
+                );
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown flag `{flag}`; flags are --quick, --seed N, --csv DIR, --json DIR"
+                ))
+            }
+            _ => {
+                if let Some(first) = &parsed.target {
+                    return Err(format!(
+                        "unexpected argument `{arg}` after `{first}`; repro takes one experiment id"
+                    ));
+                }
+                parsed.target = Some(arg);
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args {
+        target,
+        quick,
+        seed,
+        csv_dir,
+        json_dir,
+    } = match parse_args(env::args().skip(1)) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let targets: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--csv" || *a == "--json" || *a == "--seed" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(String::as_str)
-            .collect()
-    };
-    let target = targets.first().copied().unwrap_or("all");
     let write_outputs = |experiments: &[pim_bench::Experiment]| {
         if let Some(dir) = &csv_dir {
             std::fs::create_dir_all(dir).expect("create csv dir");
@@ -104,7 +118,7 @@ fn main() -> ExitCode {
         }
     };
 
-    match target {
+    match target.as_deref().unwrap_or("all") {
         "list" => {
             let width = figures::all_ids().map(str::len).max().unwrap_or(0);
             for entry in &figures::CATALOG {

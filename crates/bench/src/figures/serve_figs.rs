@@ -131,36 +131,49 @@ pub fn serve_frontend(quick: bool, seed: u64) -> Experiment {
 mod tests {
     use super::*;
 
+    use crate::figures::SERVE_DEFAULT_SEED;
+
+    /// An arbitrary seed and the one `repro serve` runs by default.
+    const SEEDS: [u64; 2] = [42, SERVE_DEFAULT_SEED];
+
     #[test]
     fn shapes_serve_cleanly_at_sixty_percent_load() {
-        let e = serve_frontend(true, 42);
-        for shape in ["poisson", "bursty", "diurnal"] {
-            let r = e.row(shape).unwrap();
-            assert!(
-                r.value("drop frac").unwrap() < 0.01,
-                "{shape} drops at 60% load"
-            );
-            assert!(r.value("p50 ms").unwrap() <= r.value("p99 ms").unwrap());
-            assert!(r.value("p99 ms").unwrap() <= r.value("p99.9 ms").unwrap());
+        for seed in SEEDS {
+            let e = serve_frontend(true, seed);
+            for shape in ["poisson", "bursty", "diurnal"] {
+                let r = e.row(shape).unwrap();
+                assert!(
+                    r.value("drop frac").unwrap() < 0.01,
+                    "{shape} drops at 60% load (seed {seed:#x})"
+                );
+                assert!(r.value("p50 ms").unwrap() <= r.value("p99 ms").unwrap());
+                assert!(r.value("p99 ms").unwrap() <= r.value("p99.9 ms").unwrap());
+            }
         }
     }
 
     #[test]
     fn ladder_saturates_and_knee_is_sane() {
-        let e = serve_frontend(true, 42);
-        let sat = e.row("saturation").unwrap();
-        let capacity = sat.value("capacity krps").unwrap();
-        let knee = sat.value("knee krps").unwrap();
-        assert!(capacity > 0.0);
-        assert!(knee > 0.0, "the light rungs must serve cleanly");
-        assert!(knee <= 2.0 * capacity, "knee beyond the swept range");
-        assert!(sat.value("saturation krps").unwrap() > 0.0);
-        // The overloaded top rung must shed or fall behind.
-        let top = e.row("load x2.00").unwrap();
-        assert!(
-            top.value("drop frac").unwrap() > 0.01
-                || top.value("achieved krps").unwrap() < 0.95 * top.value("offered krps").unwrap()
-        );
+        for seed in SEEDS {
+            let e = serve_frontend(true, seed);
+            let sat = e.row("saturation").unwrap();
+            let capacity = sat.value("capacity krps").unwrap();
+            let knee = sat.value("knee krps").unwrap();
+            assert!(capacity > 0.0);
+            assert!(
+                knee > 0.0,
+                "the light rungs must serve cleanly (seed {seed:#x})"
+            );
+            assert!(knee <= 2.0 * capacity, "knee beyond the swept range");
+            assert!(sat.value("saturation krps").unwrap() > 0.0);
+            // The overloaded top rung must shed or fall behind.
+            let top = e.row("load x2.00").unwrap();
+            assert!(
+                top.value("drop frac").unwrap() > 0.01
+                    || top.value("achieved krps").unwrap()
+                        < 0.95 * top.value("offered krps").unwrap()
+            );
+        }
     }
 
     #[test]

@@ -87,8 +87,7 @@ fn recorder_matches_pure(trace: &AllocTrace, pure: &AllocProfile) -> bool {
         && live.remote_frees == pure.remote_frees
 }
 
-/// Per-family synthesis outcome the experiment (and the CI bench)
-/// reports.
+/// Per-family synthesis outcome the experiment reports.
 pub struct TunedFamily {
     /// Scenario name (`fixed64/steady`, …).
     pub name: String,
@@ -254,6 +253,12 @@ mod tests {
                 "{}: churn throughput fell by more than 5% (ratio {})",
                 f.name,
                 f.churn_ratio()
+            );
+            assert!(
+                f.wram_ratio() <= 1.0,
+                "{}: synthesized geometry grew WRAM metadata (ratio {})",
+                f.name,
+                f.wram_ratio()
             );
             assert_eq!(f.paper.oom + f.tuned.oom, 0, "{}: replay hit OOM", f.name);
         }

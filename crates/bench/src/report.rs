@@ -6,8 +6,9 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp written into every experiment's JSON rendering, so
-/// downstream consumers (the CI `jq` gates, plot scripts) can assert
-/// the layout they were written against. Bump on incompatible change.
+/// downstream consumers (the `repro_cli` schema test, plot scripts) can
+/// assert the layout they were written against. Bump on incompatible
+/// change.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
 /// One row of an experiment's result table.
@@ -230,8 +231,8 @@ mod tests {
             json,
             r#"{"id":"fig0","paper_reference":"n/a","rows":[{"label":"alpha","values":{"lat":1.5}}],"schema_version":1,"title":"test \"figure\""}"#
         );
-        // Machine-checkable by the CI gate: parses back with the
-        // version stamp and producing experiment id.
+        // Machine-checkable: parses back with the version stamp and
+        // producing experiment id.
         let v = serde_json::from_str(&json).unwrap();
         assert_eq!(
             v.get("schema_version").unwrap().as_u64(),

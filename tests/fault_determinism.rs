@@ -5,9 +5,13 @@
 //! scheduling. A different fault seed must produce a different fault
 //! trace, and a disabled plan must leave reports byte-identical to a
 //! default context.
+//!
+//! `chaos_goodput_stays_within_ten_percent_of_fault_free` gates
+//! graceful degradation on a 128-DPU fleet serving 20,000 Poisson
+//! requests at 60% of calibrated capacity under `FaultPlan::chaos`.
 
 use pim_malloc::PimAllocator;
-use pim_serving::{serve, ArrivalProcess, ServeConfig, ServeReport};
+use pim_serving::{estimated_capacity_rps, serve, ArrivalProcess, ServeConfig, ServeReport};
 use pim_sim::{DpuSim, ExecPolicy, FaultPlan, SimContext, TransferDirection, TransferPlan};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
@@ -129,4 +133,38 @@ fn transfer_faults_are_nonce_deterministic() {
         .filter(|f| f.failed_shards > 0)
         .count();
     assert!(faulted > 0, "a 30% shard-fail prob must fire somewhere");
+}
+
+#[test]
+fn chaos_goodput_stays_within_ten_percent_of_fault_free() {
+    const N_DPUS: usize = 128;
+    let classes = standard_mix();
+    let rps = 0.6 * estimated_capacity_rps(&classes, &build, N_DPUS);
+    let run = |faults: FaultPlan| {
+        let cfg = ServeConfig {
+            n_dpus: N_DPUS,
+            n_requests: 20_000,
+            arrival: ArrivalProcess::Poisson { rps },
+            ctx: SimContext::sweep_default().with_faults(faults),
+            ..ServeConfig::default()
+        };
+        serve(&cfg, &classes, &build)
+    };
+    let goodput = |r: &ServeReport| r.admitted as f64 / (r.admitted + r.dropped) as f64;
+    let clean = run(FaultPlan::none());
+    let chaos = run(FaultPlan::chaos(0xC4A05));
+
+    let ratio = goodput(&chaos) / goodput(&clean);
+    assert!(ratio >= 0.90, "goodput ratio {ratio}");
+    let f = &chaos.faults;
+    assert!(f.doa_dpus > 0, "chaos must kill some DPUs at birth");
+    assert!(
+        f.healthy_final < N_DPUS as u64,
+        "chaos must shrink the fleet"
+    );
+    assert_eq!(
+        f.drops_queue_full + f.drops_no_healthy + f.drops_retry_exhausted,
+        chaos.dropped,
+        "drop attribution must sum to the total"
+    );
 }

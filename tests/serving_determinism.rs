@@ -4,9 +4,13 @@
 //! matrix, every `PIM_EXEC_WORKERS` setting), and its SLO metrics must
 //! behave like a queueing system: ordered percentiles, drop-free light
 //! load, load shedding past saturation.
+//!
+//! `slo_floors_hold_at_256_dpus` pins absolute SLO floors on a
+//! 256-DPU fleet serving 50,000 Poisson requests at 60% of calibrated
+//! capacity.
 
 use pim_malloc::PimAllocator;
-use pim_serving::{saturation_sweep, serve, ArrivalProcess, ServeConfig};
+use pim_serving::{estimated_capacity_rps, saturation_sweep, serve, ArrivalProcess, ServeConfig};
 use pim_sim::{DpuSim, ExecPolicy, SimContext};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
@@ -114,5 +118,33 @@ fn arrival_shapes_share_the_mean_but_not_the_tail() {
         "64-deep bursts must queue deeper than Poisson: {} vs {}",
         bursty.peak_in_flight,
         poisson.peak_in_flight
+    );
+}
+
+#[test]
+fn slo_floors_hold_at_256_dpus() {
+    const N_DPUS: usize = 256;
+    let classes = standard_mix();
+    let rps = 0.6 * estimated_capacity_rps(&classes, &build, N_DPUS);
+    let cfg = ServeConfig {
+        n_dpus: N_DPUS,
+        n_requests: 50_000,
+        arrival: ArrivalProcess::Poisson { rps },
+        ctx: SimContext::sweep_default(),
+        ..ServeConfig::default()
+    };
+    let r = serve(&cfg, &classes, &build);
+    assert!(r.p50_ms() > 0.0);
+    assert!(r.p50_ms() <= r.p99_ms());
+    assert!(r.p99_ms() <= r.p999_ms());
+    assert!(r.drop_frac() < 0.01, "drop frac {}", r.drop_frac());
+    assert!(r.p99_ms() < 100.0, "p99 {} ms", r.p99_ms());
+
+    let sweep = saturation_sweep(&cfg, &classes, &build, &[0.5, 1.0, 2.0]);
+    assert!(sweep.knee_rps > 0.0);
+    assert!(
+        sweep.saturation_rps > 1000.0,
+        "saturation {} rps",
+        sweep.saturation_rps
     );
 }
