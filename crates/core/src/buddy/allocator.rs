@@ -29,6 +29,11 @@ const REQUEST_INSTRS: u64 = 30;
 ///
 /// This enum mirrors the paper's design points; see the
 /// [`crate::metadata`] module docs for what each one models.
+///
+/// The enum does not implement [`MetadataStore`] itself:
+/// [`BuddyAllocator`] matches on it once per `alloc`, `free` or
+/// `reset` and runs the whole walk against the concrete store, so no
+/// node access pays a dispatch.
 #[derive(Debug)]
 pub enum MetadataBackend {
     /// Whole tree in scratchpad (UPMEM's stock `buddy_alloc()`).
@@ -95,55 +100,31 @@ impl MetadataBackend {
     }
 }
 
-impl MetadataStore for MetadataBackend {
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.get(ctx, idx),
-            MetadataBackend::Coarse(s) => s.get(ctx, idx),
-            MetadataBackend::FineLru(s) => s.get(ctx, idx),
-            MetadataBackend::HwCache(s) => s.get(ctx, idx),
-            MetadataBackend::LineCache(s) => s.get(ctx, idx),
+/// Runs `$body` with `$s` bound to the concrete store inside
+/// `$backend`, so code in `$body` that is generic over
+/// [`MetadataStore`] is monomorphised per store.
+macro_rules! with_store {
+    ($backend:expr, $s:ident => $body:expr) => {
+        match $backend {
+            MetadataBackend::Wram($s) => $body,
+            MetadataBackend::Coarse($s) => $body,
+            MetadataBackend::FineLru($s) => $body,
+            MetadataBackend::HwCache($s) => $body,
+            MetadataBackend::LineCache($s) => $body,
         }
+    };
+}
+
+impl MetadataBackend {
+    /// Transfer/hit statistics since construction or the last reset.
+    pub fn stats(&self) -> MetaStats {
+        with_store!(self, s => s.stats())
     }
 
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
-        match self {
-            MetadataBackend::Wram(s) => s.set(ctx, idx, state),
-            MetadataBackend::Coarse(s) => s.set(ctx, idx, state),
-            MetadataBackend::FineLru(s) => s.set(ctx, idx, state),
-            MetadataBackend::HwCache(s) => s.set(ctx, idx, state),
-            MetadataBackend::LineCache(s) => s.set(ctx, idx, state),
-        }
-    }
-
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
-        match self {
-            MetadataBackend::Wram(s) => s.reset(ctx),
-            MetadataBackend::Coarse(s) => s.reset(ctx),
-            MetadataBackend::FineLru(s) => s.reset(ctx),
-            MetadataBackend::HwCache(s) => s.reset(ctx),
-            MetadataBackend::LineCache(s) => s.reset(ctx),
-        }
-    }
-
-    fn stats(&self) -> MetaStats {
-        match self {
-            MetadataBackend::Wram(s) => s.stats(),
-            MetadataBackend::Coarse(s) => s.stats(),
-            MetadataBackend::FineLru(s) => s.stats(),
-            MetadataBackend::HwCache(s) => s.stats(),
-            MetadataBackend::LineCache(s) => s.stats(),
-        }
-    }
-
-    fn peek(&self, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.peek(idx),
-            MetadataBackend::Coarse(s) => s.peek(idx),
-            MetadataBackend::FineLru(s) => s.peek(idx),
-            MetadataBackend::HwCache(s) => s.peek(idx),
-            MetadataBackend::LineCache(s) => s.peek(idx),
-        }
+    /// Reads a node state without charging simulation cost (see
+    /// [`MetadataStore::peek`]).
+    pub fn peek(&self, idx: u32) -> NodeState {
+        with_store!(self, s => s.peek(idx))
     }
 }
 
@@ -232,7 +213,7 @@ impl BuddyAllocator {
 
     /// Re-initializes the heap: all memory free, metadata zeroed.
     pub fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
-        self.store.reset(ctx);
+        with_store!(&mut self.store, s => s.reset(ctx));
         self.free_bytes = u64::from(self.geometry.heap_size());
         self.live_blocks = 0;
     }
@@ -252,20 +233,107 @@ impl BuddyAllocator {
             .block_for_size(size)
             .ok_or(AllocError::InvalidSize { requested: size })?;
         let target_level = self.geometry.level_for_block(block);
-        match self.descend(ctx, 1, 0, target_level) {
-            Some(node) => {
-                if self.policy == DescentPolicy::FullMarks {
-                    self.mark_full_upward(ctx, node);
-                }
-                self.free_bytes -= u64::from(block);
-                self.live_blocks += 1;
-                Ok(self.geometry.addr_of(node))
-            }
-            None => Err(AllocError::OutOfMemory { requested: size }),
-        }
+        let policy = self.policy;
+        let node =
+            with_store!(&mut self.store, s => Walk { store: s, policy }.alloc(ctx, target_level))
+                .ok_or(AllocError::OutOfMemory { requested: size })?;
+        self.free_bytes -= u64::from(block);
+        self.live_blocks += 1;
+        Ok(self.geometry.addr_of(node))
     }
 
-    /// Recursive first-fit descent to a free node at `target_level`.
+    /// Frees the block at `addr`, returning the size of the freed
+    /// block in bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::InvalidFree`] if `addr` is not the base address of
+    /// a live allocation.
+    pub fn free(&mut self, ctx: &mut TaskletCtx<'_>, addr: u32) -> Result<u32, AllocError> {
+        ctx.instrs(REQUEST_INSTRS);
+        if !self.geometry.contains(addr) {
+            return Err(AllocError::InvalidFree { addr });
+        }
+        let (geometry, policy) = (&self.geometry, self.policy);
+        let block =
+            with_store!(&mut self.store, s => Walk { store: s, policy }.free(ctx, geometry, addr))
+                .ok_or(AllocError::InvalidFree { addr })?;
+        self.free_bytes += u64::from(block);
+        self.live_blocks -= 1;
+        Ok(block)
+    }
+
+    /// Checks the structural invariants of the whole tree (test/debug
+    /// helper; does not charge simulation cost).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the first violated invariant.
+    pub fn check_invariants(&self) {
+        let g = &self.geometry;
+        for idx in 1..=g.node_count() {
+            let state = self.store.peek(idx);
+            let level = g.level_of(idx);
+            if level < g.depth() {
+                let (l, r) = (self.store.peek(2 * idx), self.store.peek(2 * idx + 1));
+                match state {
+                    NodeState::Free | NodeState::Allocated => {
+                        assert_eq!(
+                            (l, r),
+                            (NodeState::Free, NodeState::Free),
+                            "node {idx} ({state:?}) must have free children"
+                        );
+                    }
+                    NodeState::Split => {
+                        assert!(
+                            !(l == NodeState::Free && r == NodeState::Free),
+                            "split node {idx} has two free children (missed merge)"
+                        );
+                        if self.policy == DescentPolicy::FullMarks {
+                            assert!(
+                                !(l.is_full() && r.is_full()),
+                                "split node {idx} has two full children (missed full mark)"
+                            );
+                        }
+                    }
+                    NodeState::SplitFull => {
+                        assert!(
+                            l.is_full() && r.is_full(),
+                            "split-full node {idx} has a non-full child"
+                        );
+                    }
+                }
+            } else if state == NodeState::Split || state == NodeState::SplitFull {
+                panic!("leaf node {idx} cannot be split");
+            }
+        }
+    }
+}
+
+/// One call's tree walk over a concrete store. Generic over `S`, so
+/// every metadata access in the walk is a direct call into that store
+/// — [`BuddyAllocator`] dispatches on [`MetadataBackend`] once per
+/// `alloc`/`free`, not once per node.
+struct Walk<'a, S> {
+    store: &'a mut S,
+    policy: DescentPolicy,
+}
+
+impl<S: MetadataStore> Walk<'_, S> {
+    /// Finds and claims a free node at `target_level`, marking full
+    /// ancestors under [`DescentPolicy::FullMarks`].
+    fn alloc(&mut self, ctx: &mut TaskletCtx<'_>, target_level: u32) -> Option<u32> {
+        let node = self.descend(ctx, 1, 0, target_level)?;
+        if self.policy == DescentPolicy::FullMarks {
+            self.mark_full_upward(ctx, node);
+        }
+        Some(node)
+    }
+
+    /// First-fit descent to a free node at `target_level`, trying the
+    /// left child before the right; it recurses once per level, so its
+    /// stack depth is the tree depth (21 for a 64 MB heap of 32 B
+    /// blocks).
     fn descend(
         &mut self,
         ctx: &mut TaskletCtx<'_>,
@@ -339,18 +407,15 @@ impl BuddyAllocator {
         }
     }
 
-    /// Frees the block at `addr`, returning the size of the freed
-    /// block in bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidFree`] if `addr` is not the base address of
-    /// a live allocation.
-    pub fn free(&mut self, ctx: &mut TaskletCtx<'_>, addr: u32) -> Result<u32, AllocError> {
-        ctx.instrs(REQUEST_INSTRS);
-        if !self.geometry.contains(addr) {
-            return Err(AllocError::InvalidFree { addr });
-        }
+    /// Frees the allocated node whose block starts at `addr` and merges
+    /// upward, returning the block size; `None` if `addr` is not the
+    /// base of a live block.
+    fn free(
+        &mut self,
+        ctx: &mut TaskletCtx<'_>,
+        geometry: &BuddyGeometry,
+        addr: u32,
+    ) -> Option<u32> {
         // Locate the allocated node covering `addr` by following split
         // marks down from the root.
         let mut node = 1u32;
@@ -360,25 +425,22 @@ impl BuddyAllocator {
             match self.store.get(ctx, node) {
                 NodeState::Allocated => break,
                 NodeState::Split | NodeState::SplitFull => {
-                    if level == self.geometry.depth() {
-                        return Err(AllocError::InvalidFree { addr });
+                    if level == geometry.depth() {
+                        return None;
                     }
                     level += 1;
-                    node = self.geometry.node_at(level, addr);
+                    node = geometry.node_at(level, addr);
                 }
-                NodeState::Free => return Err(AllocError::InvalidFree { addr }),
+                NodeState::Free => return None,
             }
         }
         // The address must be the block's base, not an interior byte.
-        if self.geometry.addr_of(node) != addr {
-            return Err(AllocError::InvalidFree { addr });
+        if geometry.addr_of(node) != addr {
+            return None;
         }
-        let block = self.geometry.block_size_at(level);
         self.store.set(ctx, node, NodeState::Free);
         self.merge_upward(ctx, node);
-        self.free_bytes += u64::from(block);
-        self.live_blocks -= 1;
-        Ok(block)
+        Some(geometry.block_size_at(level))
     }
 
     /// After freeing below, merges free buddies and downgrades
@@ -401,52 +463,6 @@ impl BuddyAllocator {
             }
             self.store.set(ctx, parent, new_state);
             n = parent;
-        }
-    }
-
-    /// Checks the structural invariants of the whole tree (test/debug
-    /// helper; does not charge simulation cost).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first violated invariant.
-    pub fn check_invariants(&self) {
-        let g = &self.geometry;
-        for idx in 1..=g.node_count() {
-            let state = self.store.peek(idx);
-            let level = g.level_of(idx);
-            if level < g.depth() {
-                let (l, r) = (self.store.peek(2 * idx), self.store.peek(2 * idx + 1));
-                match state {
-                    NodeState::Free | NodeState::Allocated => {
-                        assert_eq!(
-                            (l, r),
-                            (NodeState::Free, NodeState::Free),
-                            "node {idx} ({state:?}) must have free children"
-                        );
-                    }
-                    NodeState::Split => {
-                        assert!(
-                            !(l == NodeState::Free && r == NodeState::Free),
-                            "split node {idx} has two free children (missed merge)"
-                        );
-                        if self.policy == DescentPolicy::FullMarks {
-                            assert!(
-                                !(l.is_full() && r.is_full()),
-                                "split node {idx} has two full children (missed full mark)"
-                            );
-                        }
-                    }
-                    NodeState::SplitFull => {
-                        assert!(
-                            l.is_full() && r.is_full(),
-                            "split-full node {idx} has a non-full child"
-                        );
-                    }
-                }
-            } else if state == NodeState::Split || state == NodeState::SplitFull {
-                panic!("leaf node {idx} cannot be split");
-            }
         }
     }
 }

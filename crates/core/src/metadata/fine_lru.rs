@@ -93,11 +93,13 @@ impl FineLruStore {
 }
 
 impl MetadataStore for FineLruStore {
+    #[inline]
     fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         self.ensure(ctx, idx, false);
         self.bits.get(idx)
     }
 
+    #[inline]
     fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         self.ensure(ctx, idx, true);
         self.bits.set(idx, state);

@@ -102,6 +102,7 @@ impl HwCacheStore {
 }
 
 impl MetadataStore for HwCacheStore {
+    #[inline]
     fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         let slot = self.ensure(ctx, idx);
         ctx.instrs(10); // read_bc + 2-bit extract
@@ -109,6 +110,7 @@ impl MetadataStore for HwCacheStore {
         NodeState::from_bits(((word >> (2 * (idx % 16))) & 0b11) as u8)
     }
 
+    #[inline]
     fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         let slot = self.ensure(ctx, idx);
         ctx.instrs(10); // write_bc (update in place, marks dirty)

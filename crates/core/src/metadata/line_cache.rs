@@ -109,12 +109,14 @@ impl LineCacheStore {
 }
 
 impl MetadataStore for LineCacheStore {
+    #[inline]
     fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         let _slot = self.ensure(ctx, idx);
         ctx.instrs(10); // read + 2-bit extract
         self.bits.get(idx)
     }
 
+    #[inline]
     fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         let slot = self.ensure(ctx, idx);
         ctx.instrs(10); // read-modify-write of the cached word

@@ -16,6 +16,8 @@
 //! * [`HwCacheStore`] — the paper's hardware buddy cache: a 16-entry
 //!   CAM of 4-byte metadata words with single-cycle access
 //!   (PIM-malloc-HW/SW).
+//! * [`LineCacheStore`] — a line-granular general-purpose cache in
+//!   place of the buddy cache (the §VII counterfactual).
 //!
 //! All stores implement [`MetadataStore`], charging their access costs
 //! to the calling tasklet's [`TaskletCtx`].

@@ -35,12 +35,14 @@ impl WramStore {
 }
 
 impl MetadataStore for WramStore {
+    #[inline]
     fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         ctx.instrs(ACCESS_INSTRS);
         self.stats.hits += 1;
         self.bits.get(idx)
     }
 
+    #[inline]
     fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         ctx.instrs(ACCESS_INSTRS);
         self.stats.hits += 1;

@@ -32,7 +32,7 @@ use crate::central_free_list::CentralFreeList;
 use crate::error::{AllocError, InitError};
 use crate::frag::FragTracker;
 use crate::geometry::{PimMallocConfig, SizeClassTable, TierPolicy};
-use crate::metadata::{MetaStats, MetadataStore};
+use crate::metadata::MetaStats;
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
 use crate::thread_cache::{FreeOutcome, ThreadCache, CACHE_BLOCK_BYTES};

@@ -147,6 +147,7 @@ impl DpuSim {
     /// # Panics
     ///
     /// Panics if `tid` is not below the configured tasklet count.
+    #[inline]
     pub fn ctx(&mut self, tid: usize) -> TaskletCtx<'_> {
         assert!(tid < self.config.n_tasklets, "tasklet {tid} out of range");
         self.settle_instrs();
@@ -157,6 +158,7 @@ impl DpuSim {
     /// clock and stats (see `pending_instrs`). Additive, so a settled
     /// batch is byte-identical to the same instructions charged one by
     /// one.
+    #[inline]
     fn settle_instrs(&mut self) {
         let n = self.pending_instrs;
         if n == 0 {
@@ -174,6 +176,7 @@ impl DpuSim {
     }
 
     /// Clock adjustment tasklet `tid` is owed by the pending batch.
+    #[inline]
     fn pending_cycles(&self, tid: usize) -> Cycles {
         if self.pending_instrs == 0 || self.pending_tid != tid {
             return Cycles::ZERO;
@@ -191,6 +194,7 @@ impl DpuSim {
     }
 
     /// Current logical time of tasklet `tid`.
+    #[inline]
     pub fn clock(&self, tid: usize) -> Cycles {
         self.clocks[tid] + self.pending_cycles(tid)
     }

@@ -8,61 +8,77 @@
 //! `pim-workloads` (the request driver) and `pim-trace` (the trace
 //! replayer) drive [`DpuSim`]s through it.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::cost::Cycles;
 use crate::dpu::DpuSim;
 
 /// A virtual-time scheduler over per-tasklet logical clocks.
 ///
-/// Replaces the per-request `(0..n).min_by_key(clock)` linear scan with
-/// a min-heap keyed on `(clock, tasklet id)`: selection is O(log n)
-/// per request instead of O(n). Ties break on the smaller tasklet id,
-/// exactly like the scan's first-minimum rule, so request interleavings
-/// — and therefore every latency-ordering result — are byte-identical
-/// to the scan's.
+/// Each queued tasklet keeps the clock it was queued at as its key;
+/// `pop` scans the keys for the smallest `(clock, tasklet id)`. A DPU
+/// has at most 24 tasklets, so one pass over a flat key array is
+/// cheaper than keeping a heap ordered. Ties break on the smaller
+/// tasklet id, the first-minimum rule of `(0..n).min_by_key(clock)`,
+/// so request interleavings — and therefore every latency-ordering
+/// result — are identical to that scan's.
 ///
 /// Usage: `pop` the next tasklet, execute one of its requests (which
 /// advances only that tasklet's clock), then `push` it back while it
-/// has requests left.
+/// has requests left. A tasklet is queued at most once: pushing a
+/// queued tasklet re-keys it.
 #[derive(Debug)]
 pub struct VirtualTimeQueue {
-    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    /// Clock each tasklet was queued at; [`NOT_QUEUED`] when it is not
+    /// in the queue.
+    keys: Vec<u64>,
 }
+
+/// Key of a tasklet that is not queued (no clock reaches it).
+const NOT_QUEUED: u64 = u64::MAX;
 
 impl VirtualTimeQueue {
     /// Creates a queue holding `tasklets`, each keyed at its current
     /// clock on `dpu`.
     pub fn new(dpu: &DpuSim, tasklets: impl IntoIterator<Item = usize>) -> Self {
-        VirtualTimeQueue {
-            heap: tasklets
-                .into_iter()
-                .map(|t| Reverse((dpu.clock(t), t)))
-                .collect(),
+        let mut queue = VirtualTimeQueue {
+            keys: vec![NOT_QUEUED; dpu.config().n_tasklets],
+        };
+        for tid in tasklets {
+            queue.push(dpu, tid);
         }
+        queue
     }
 
     /// Removes and returns the queued tasklet with the smallest clock
     /// (smallest id on ties), or `None` when the queue is empty.
     ///
-    /// Entries whose clock advanced since they were queued are lazily
-    /// re-keyed at their current clock rather than trusted stale.
+    /// A tasklet whose clock advanced since it was queued is re-keyed
+    /// at its current clock and the scan repeats, rather than trusting
+    /// the stale key.
     pub fn pop(&mut self, dpu: &DpuSim) -> Option<usize> {
-        while let Some(Reverse((queued_at, tid))) = self.heap.pop() {
-            let now = dpu.clock(tid);
-            if now == queued_at {
+        loop {
+            let (mut tid, mut key) = (0, NOT_QUEUED);
+            for (t, &k) in self.keys.iter().enumerate() {
+                if k < key {
+                    (tid, key) = (t, k);
+                }
+            }
+            if key == NOT_QUEUED {
+                return None;
+            }
+            let now = dpu.clock(tid).0;
+            if now == key {
+                self.keys[tid] = NOT_QUEUED;
                 return Some(tid);
             }
-            self.heap.push(Reverse((now, tid)));
+            self.keys[tid] = now;
         }
-        None
     }
 
-    /// Re-queues `tid` at its current clock (call after executing one
-    /// of its requests, while it has more).
+    /// Queues `tid` at its current clock (call after executing one of
+    /// its requests, while it has more).
     pub fn push(&mut self, dpu: &DpuSim, tid: usize) {
-        self.heap.push(Reverse((dpu.clock(tid), tid)));
+        self.keys[tid] = dpu.clock(tid).0;
     }
 }
 
@@ -172,39 +188,51 @@ mod tests {
 
     #[test]
     fn queue_selection_is_identical_to_linear_scan() {
-        // The heap scheduler must replicate the old
-        // `(0..n).min_by_key(clock)` selection exactly, including
-        // smallest-id tie-breaking, so latency orderings stay
-        // byte-identical.
-        let run = |use_queue: bool| -> Vec<usize> {
-            let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(6));
+        // The queue must replicate the `(0..n).min_by_key(clock)`
+        // selection exactly, including smallest-id tie-breaking, so
+        // latency orderings stay byte-identical. 24 tasklets (the
+        // UPMEM maximum) stepping 1–3 instructions collide often.
+        const N: usize = 24;
+        let run = |use_queue: bool, nudge: bool| -> Vec<usize> {
+            let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(N));
             // Uneven head start so clocks collide and diverge.
             dpu.ctx(4).instrs(2);
-            let mut remaining = [3usize, 1, 4, 2, 3, 0];
+            let mut remaining: Vec<usize> = (0..N).map(|t| (t * 7 + 3) % 9).collect();
+            let mut queue = use_queue
+                .then(|| VirtualTimeQueue::new(&dpu, (0..N).filter(|&t| remaining[t] > 0)));
             let mut order = Vec::new();
-            if use_queue {
-                let mut q = VirtualTimeQueue::new(&dpu, (0..6).filter(|&t| remaining[t] > 0));
-                while let Some(tid) = q.pop(&dpu) {
-                    order.push(tid);
-                    dpu.ctx(tid).instrs((tid as u64 % 3) + 1);
-                    remaining[tid] -= 1;
-                    if remaining[tid] > 0 {
-                        q.push(&dpu, tid);
+            loop {
+                let next = match &mut queue {
+                    Some(q) => q.pop(&dpu),
+                    None => (0..N)
+                        .filter(|&t| remaining[t] > 0)
+                        .min_by_key(|&t| dpu.clock(t)),
+                };
+                let Some(tid) = next else { break };
+                order.push(tid);
+                dpu.ctx(tid).instrs((tid as u64 % 3) + 1);
+                if nudge {
+                    // Advance another tasklet's clock while it is
+                    // queued, so the queue holds a stale key for it.
+                    let other = (tid + 5) % N;
+                    if remaining[other] > 0 {
+                        dpu.ctx(other).instrs(1);
                     }
                 }
-            } else {
-                while let Some(tid) = (0..6)
-                    .filter(|&t| remaining[t] > 0)
-                    .min_by_key(|&t| dpu.clock(t))
-                {
-                    order.push(tid);
-                    dpu.ctx(tid).instrs((tid as u64 % 3) + 1);
-                    remaining[tid] -= 1;
+                remaining[tid] -= 1;
+                if remaining[tid] > 0 {
+                    if let Some(q) = &mut queue {
+                        q.push(&dpu, tid);
+                    }
                 }
             }
             order
         };
-        assert_eq!(run(true), run(false));
+        for nudge in [false, true] {
+            let order = run(true, nudge);
+            assert_eq!(order.len(), (0..N).map(|t| (t * 7 + 3) % 9).sum::<usize>());
+            assert_eq!(order, run(false, nudge), "nudge {nudge}");
+        }
     }
 
     #[test]

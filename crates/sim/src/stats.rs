@@ -124,6 +124,13 @@ impl LatencyRecorder {
         Self::default()
     }
 
+    /// Creates an empty recorder with room for `capacity` samples.
+    pub fn with_capacity(capacity: usize) -> Self {
+        LatencyRecorder {
+            samples: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one latency sample.
     pub fn record(&mut self, latency: Cycles) {
         self.samples.push(latency);

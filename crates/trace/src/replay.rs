@@ -98,19 +98,25 @@ pub fn replay_streams(
         .collect();
     // Remote edges may name slots beyond any local Malloc/Free in the
     // owner's stream; grow owner tables up front so indexing is safe.
+    // Count the mallocs on the same pass to size the recorders.
+    let mut mallocs = 0;
     for stream in streams {
         for op in stream {
-            if let TraceOp::RemoteFree { tasklet, slot } = *op {
-                let table = &mut slots[tasklet as usize];
-                if table.len() <= slot as usize {
-                    table.resize(slot as usize + 1, None);
+            match *op {
+                TraceOp::Malloc { .. } => mallocs += 1,
+                TraceOp::RemoteFree { tasklet, slot } => {
+                    let table = &mut slots[tasklet as usize];
+                    if table.len() <= slot as usize {
+                        table.resize(slot as usize + 1, None);
+                    }
                 }
+                TraceOp::Free { .. } | TraceOp::Compute { .. } => {}
             }
         }
     }
     let mut result = ReplayResult {
-        malloc_latencies: LatencyRecorder::new(),
-        timeline: Vec::new(),
+        malloc_latencies: LatencyRecorder::with_capacity(mallocs),
+        timeline: Vec::with_capacity(mallocs),
         per_tasklet_malloc: vec![Cycles::ZERO; n],
         oom_count: 0,
         dropped_frees: 0,

@@ -64,34 +64,59 @@ impl SizeLaw {
             SizeLaw::LogNormal { .. } => "lognormal",
         }
     }
+}
+
+/// A [`SizeLaw`] ready to draw from: the Zipf bucket table is built
+/// once per trace rather than once per draw.
+struct SizeSampler {
+    law: SizeLaw,
+    /// Zipf buckets, smallest first (empty for the other laws).
+    buckets: Vec<u32>,
+    /// Zipf bucket weights, `(k + 1)^-exponent`.
+    weights: Vec<f64>,
+    /// Sum of `weights`.
+    total: f64,
+}
+
+impl SizeSampler {
+    fn new(law: SizeLaw) -> Self {
+        let (mut buckets, mut weights) = (Vec::new(), Vec::new());
+        if let SizeLaw::Zipf { min, max, exponent } = law {
+            // Power-of-two buckets with precomputed CDF.
+            let mut b = min.max(1).next_power_of_two();
+            while b <= max.max(1) {
+                buckets.push(b);
+                b = b.saturating_mul(2);
+            }
+            weights = (0..buckets.len())
+                .map(|k| ((k + 1) as f64).powf(-exponent))
+                .collect();
+        }
+        let total = weights.iter().sum();
+        SizeSampler {
+            law,
+            buckets,
+            weights,
+            total,
+        }
+    }
 
     fn sample(&self, rng: &mut StdRng) -> u32 {
-        match *self {
+        match self.law {
             SizeLaw::Fixed(size) => size.max(1),
             SizeLaw::Uniform { min, max } => rng.gen_range(min.max(1)..=max.max(min.max(1))),
-            SizeLaw::Zipf { min, max, exponent } => {
-                // Power-of-two buckets with precomputed CDF.
-                let mut buckets = Vec::new();
-                let mut b = min.max(1).next_power_of_two();
-                while b <= max.max(1) {
-                    buckets.push(b);
-                    b = b.saturating_mul(2);
-                }
-                if buckets.is_empty() {
+            SizeLaw::Zipf { min, .. } => {
+                if self.buckets.is_empty() {
                     return min.max(1);
                 }
-                let weights: Vec<f64> = (0..buckets.len())
-                    .map(|k| ((k + 1) as f64).powf(-exponent))
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                let mut u = rng.gen_range(0.0..1.0) * total;
-                for (k, w) in weights.iter().enumerate() {
-                    if u < *w || k + 1 == buckets.len() {
-                        return buckets[k];
+                let mut u = rng.gen_range(0.0..1.0) * self.total;
+                for (k, w) in self.weights.iter().enumerate() {
+                    if u < *w || k + 1 == self.buckets.len() {
+                        return self.buckets[k];
                     }
                     u -= w;
                 }
-                buckets[0]
+                self.buckets[0]
             }
             SizeLaw::LogNormal {
                 mu,
@@ -216,6 +241,7 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
     assert!(cfg.n_tasklets >= 1, "trace needs at least one tasklet");
     assert!(cfg.mallocs_per_tasklet >= 1, "trace needs requests");
     let mut trace = AllocTrace::new(cfg.scenario_name(), cfg.heap_size, cfg.n_tasklets);
+    let sizes = &SizeSampler::new(cfg.size_law);
     for tid in 0..cfg.n_tasklets {
         // SplitMix-style substream derivation per tasklet.
         let sub = cfg
@@ -223,8 +249,10 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
             .wrapping_add((tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut rng = StdRng::seed_from_u64(sub);
         trace.streams[tid] = match cfg.shape {
-            TemporalShape::Steady { compute } => windowed_stream(cfg, &mut rng, |_| Some(compute)),
-            TemporalShape::Bursty { burst, gap } => windowed_stream(cfg, &mut rng, |i| {
+            TemporalShape::Steady { compute } => {
+                windowed_stream(cfg, sizes, &mut rng, |_| Some(compute))
+            }
+            TemporalShape::Bursty { burst, gap } => windowed_stream(cfg, sizes, &mut rng, |i| {
                 if i % burst.max(1) == 0 {
                     Some(gap)
                 } else {
@@ -233,15 +261,15 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
             }),
             TemporalShape::Ramp { start_gap } => {
                 let n = cfg.mallocs_per_tasklet as u64;
-                windowed_stream(cfg, &mut rng, |i| {
+                windowed_stream(cfg, sizes, &mut rng, |i| {
                     Some(start_gap.saturating_sub(start_gap * i as u64 / n.max(1)))
                 })
             }
             TemporalShape::PhaseShift { period, compute } => {
-                phase_shift_stream(cfg, &mut rng, period.max(1), compute)
+                phase_shift_stream(cfg, sizes, &mut rng, period.max(1), compute)
             }
             TemporalShape::ProducerConsumer { compute } => {
-                producer_consumer_stream(cfg, &mut rng, tid, compute)
+                producer_consumer_stream(cfg, sizes, &mut rng, tid, compute)
             }
         };
     }
@@ -255,6 +283,7 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
 /// back-to-back).
 fn windowed_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     gap: impl Fn(usize) -> Option<u64>,
 ) -> Vec<TraceOp> {
@@ -267,7 +296,7 @@ fn windowed_stream(
             }
         }
         ops.push(TraceOp::Malloc {
-            size: cfg.size_law.sample(rng),
+            size: sizes.sample(rng),
             slot: i as u32,
         });
         if i as u32 - oldest >= cfg.live_window.max(1) as u32 {
@@ -282,6 +311,7 @@ fn windowed_stream(
 /// previous grow phase allocated (newest first) between its mallocs.
 fn phase_shift_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     period: usize,
     compute: u64,
@@ -299,7 +329,7 @@ fn phase_shift_stream(
             }
         }
         ops.push(TraceOp::Malloc {
-            size: cfg.size_law.sample(rng),
+            size: sizes.sample(rng),
             slot: i as u32,
         });
         live.push(i as u32);
@@ -317,6 +347,7 @@ fn phase_shift_stream(
 /// tasklet falls back to a steady windowed stream.
 fn producer_consumer_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     tid: usize,
     compute: u64,
@@ -324,7 +355,7 @@ fn producer_consumer_stream(
     let is_producer = tid.is_multiple_of(2);
     let unpaired = is_producer && tid + 1 >= cfg.n_tasklets;
     if unpaired {
-        return windowed_stream(cfg, rng, |_| Some(compute));
+        return windowed_stream(cfg, sizes, rng, |_| Some(compute));
     }
     let mut ops = Vec::new();
     for i in 0..cfg.mallocs_per_tasklet {
@@ -333,7 +364,7 @@ fn producer_consumer_stream(
         }
         if is_producer {
             ops.push(TraceOp::Malloc {
-                size: cfg.size_law.sample(rng),
+                size: sizes.sample(rng),
                 slot: i as u32,
             });
         } else {
@@ -457,6 +488,41 @@ mod tests {
         assert!(sizes.iter().any(|&s| s < 256));
         assert!(sizes.iter().any(|&s| s > 2048));
         assert!(sizes.iter().all(|&s| (16..=4096).contains(&s)));
+    }
+
+    #[test]
+    fn zipf_sizes_are_pinned() {
+        // The first 64 draws of one seeded Zipf stream, as the per-draw
+        // bucket table produced them: building the table once per
+        // trace must keep every trace byte-identical.
+        let cfg = SynthConfig {
+            n_tasklets: 1,
+            mallocs_per_tasklet: 64,
+            size_law: SizeLaw::Zipf {
+                min: 16,
+                max: 2048,
+                exponent: 1.1,
+            },
+            shape: TemporalShape::Steady { compute: 0 },
+            seed: 7,
+            ..SynthConfig::default()
+        };
+        let sizes: Vec<u32> = synthesize(&cfg).streams[0]
+            .iter()
+            .filter_map(|op| match op {
+                TraceOp::Malloc { size, .. } => Some(*size),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                16, 512, 32, 32, 16, 32, 16, 16, 32, 16, 2048, 1024, 512, 512, 32, 512, 16, 64,
+                128, 64, 16, 16, 32, 512, 2048, 16, 32, 512, 32, 2048, 16, 16, 16, 32, 64, 16,
+                1024, 16, 16, 64, 1024, 16, 16, 16, 16, 32, 256, 256, 64, 64, 16, 16, 16, 32, 16,
+                32, 16, 32, 64, 16, 16, 512, 32, 32
+            ]
+        );
     }
 
     #[test]

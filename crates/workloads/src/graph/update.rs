@@ -9,7 +9,7 @@
 //! duration, cycle breakdown, allocation latencies and metadata
 //! traffic are reported.
 
-use pim_malloc::{MetadataStore, PimAllocator};
+use pim_malloc::PimAllocator;
 use pim_sim::{
     Cycles, DpuConfig, DpuSim, Executor, SimContext, TaskletStats, TransferDirection, TransferPlan,
 };

@@ -6,7 +6,7 @@
 //! breakdown, metadata traffic, and buddy-cache statistics. This is
 //! the workload behind Figures 7, 8, 15 and 16.
 
-use pim_malloc::{MetaStats, MetadataStore, PimAllocator, StrawManAllocator, StrawManConfig};
+use pim_malloc::{MetaStats, PimAllocator, StrawManAllocator, StrawManConfig};
 use pim_sim::{
     BuddyCacheConfig, BuddyCacheStats, Cycles, DpuConfig, DpuSim, LatencyRecorder, TaskletStats,
 };
